@@ -600,8 +600,9 @@ fn trace_run(scale: f64, workers: usize) {
     println!("wrote results/metrics.json ({} bytes)", pretty.len());
 }
 
-/// Causal-profile harness: one DMatch run on TPCH with *threaded*
-/// executors (real OS threads, real barriers) under a live collector; the
+/// Causal-profile harness: one DMatch run on TPCH in *threaded* mode
+/// (supersteps computed concurrently on the session pool) under a live
+/// collector; the
 /// pipeline builds a [`dcer_obs::RunProfile`] from the span/flow graph and
 /// this writes it to `results/profile.json`, prints the makespan
 /// decomposition, per-worker utilization, straggler indices and the top-10

@@ -1,12 +1,11 @@
 //! Deterministic fault injection for the BSP runtime.
 //!
 //! A [`FaultPlan`] is a finite set of fault directives keyed by worker id
-//! and superstep (and, for network faults, the `from -> to` edge). Both
-//! executors consult the plan at the same decision points — compute entry
-//! for crash/stall faults, message deposit for drop/delay/duplicate faults
-//! — so a plan produces the *same* fault schedule and the same
-//! [`RecoveryStats`] under simulated and threaded execution, which is what
-//! makes recovery behaviour testable for stat parity.
+//! and superstep (and, for network faults, the `from -> to` edge). The BSP
+//! loop consults the plan at two decision points — compute entry for
+//! crash/stall faults, the exchange for drop/delay/duplicate faults — so a
+//! plan produces the *same* fault schedule and the same [`RecoveryStats`]
+//! under simulated and threaded execution.
 //!
 //! Plans are either built programmatically, parsed from the textual
 //! grammar (see [`FaultPlan::parse`]), or generated from a seed with
@@ -89,6 +88,15 @@ pub enum EdgeFault {
     /// Deliver twice.
     Duplicate,
 }
+
+/// The longest delay [`FaultPlan::parse`] accepts, in supersteps. A
+/// delayed batch keeps the run alive one superstep at a time until it
+/// lands, so an unbounded delay could run a process out of time and memory.
+pub const MAX_DELAY_STEPS: u64 = 1_000;
+
+/// The longest stall [`FaultPlan::parse`] accepts, in milliseconds (one
+/// minute — far past any stall timeout).
+pub const MAX_STALL_MILLIS: u64 = 60_000;
 
 /// A deterministic schedule of faults for one BSP run.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
@@ -178,6 +186,9 @@ impl FaultPlan {
     ///            | 'stall' W '@' K '=' MS     stall worker W at K for MS ms
     /// ```
     ///
+    /// `D` is at most [`MAX_DELAY_STEPS`] and `MS` at most
+    /// [`MAX_STALL_MILLIS`]; larger values are parse errors.
+    ///
     /// ```
     /// use dcer_bsp::FaultPlan;
     /// let p = FaultPlan::parse("crash 2@1; drop 0->1@2; delay 1->3@2+2").unwrap();
@@ -197,6 +208,13 @@ impl FaultPlan {
             let rest: String = rest.chars().filter(|c| !c.is_whitespace()).collect();
             let num = |s: &str, what: &str| -> Result<u64, String> {
                 s.parse::<u64>().map_err(|_| format!("bad {what} `{s}` in directive `{d}`"))
+            };
+            let bounded = |s: &str, what: &str, max: u64| -> Result<u64, String> {
+                let v = num(s, what)?;
+                if v > max {
+                    return Err(format!("{what} `{s}` exceeds the maximum {max} in `{d}`"));
+                }
+                Ok(v)
             };
             let edge = |s: &str| -> Result<(WorkerId, WorkerId, String), String> {
                 let (from, tail) = s
@@ -223,7 +241,7 @@ impl FaultPlan {
                     Fault::Stall {
                         worker: num(w, "worker")? as WorkerId,
                         step: num(k, "step")?,
-                        millis: num(ms, "millis")?,
+                        millis: bounded(ms, "millis", MAX_STALL_MILLIS)?,
                     }
                 }
                 "drop" => {
@@ -243,7 +261,7 @@ impl FaultPlan {
                         from,
                         to,
                         step: num(step, "step")?,
-                        steps: num(extra, "steps")?.max(1),
+                        steps: bounded(extra, "steps", MAX_DELAY_STEPS)?.max(1),
                     }
                 }
                 other => return Err(format!("unknown fault kind `{other}` in `{d}`")),
@@ -406,7 +424,7 @@ pub struct RecoveryStats {
 }
 
 impl RecoveryStats {
-    /// Pointwise sum (merging per-thread logs).
+    /// Pointwise sum (merging the counters of one superstep's tasks).
     pub fn add(&mut self, other: &RecoveryStats) {
         self.checkpoints += other.checkpoints;
         self.checkpoint_facts += other.checkpoint_facts;
@@ -484,6 +502,24 @@ mod tests {
         for bad in ["crash", "crash 1", "boom 1@2", "drop 0-1@2", "delay 0->1@2", "stall 1@2"] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` should not parse");
         }
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_delays_and_stalls() {
+        for bad in [
+            "delay 0->1@0+5000000",
+            "delay 0->1@0+18446744073709551615",
+            "delay 0->1@0+1001",
+            "stall 1@2=60001",
+            "stall 1@2=18446744073709551615",
+        ] {
+            let err = FaultPlan::parse(bad).expect_err(bad);
+            assert!(err.contains("exceeds the maximum"), "`{bad}`: {err}");
+        }
+        let edge = format!("delay 0->1@0+{MAX_DELAY_STEPS}; stall 1@2={MAX_STALL_MILLIS}");
+        let p = FaultPlan::parse(&edge).expect("the maxima themselves are accepted");
+        assert_eq!(p.edge(0, 1, 0), EdgeFault::Delay(MAX_DELAY_STEPS));
+        assert_eq!(p.stall_millis(1, 2), Some(MAX_STALL_MILLIS));
     }
 
     #[test]

@@ -17,17 +17,38 @@
 //! handle (an `Arc` bump for `DeltaBatch`-style types), never a deep copy of
 //! the payload.
 //!
-//! ## Execution modes (see `DESIGN.md` §5)
+//! ## One superstep loop (see `DESIGN.md` §5)
 //!
-//! - [`ExecutionMode::Threaded`]: every worker is a real OS thread; mailboxes
-//!   are shared-memory queues synchronized by per-superstep barriers —
-//!   validates the algorithms under true concurrency.
-//! - [`ExecutionMode::Simulated`]: workers run sequentially while the
-//!   runtime records each worker's busy time per superstep; the *simulated
-//!   parallel time* (makespan) is `Σ_steps max_worker(busy)` plus a
-//!   configurable per-byte communication cost. This measures exactly the
-//!   quantities parallel scalability (Theorem 7) is about, independent of
-//!   how many physical cores the host has.
+//! Every run, in either [`ExecutionMode`], goes through the same loop.
+//! Each superstep has three parts:
+//!
+//! 1. **Compute** — one [`dcer_pool::WorkPool::run`] batch with one task
+//!    per worker. A task makes the fault decisions for its worker (crash,
+//!    stall, restore and replay), runs `initial`/`superstep`, takes the
+//!    checkpoint, and returns its busy time and routed messages. Its spans
+//!    land on a dedicated `worker-{k}` trace track. The batch join is the
+//!    superstep barrier.
+//! 2. **Exchange** — on the calling thread, in fixed worker order: pending
+//!    retransmissions and delayed deliveries that are due, then every
+//!    routed message passes the fault injector and lands in its
+//!    recipient's inbox. This moves `Arc` handles, never payloads; no
+//!    worker ever waits on a peer's mailbox.
+//! 3. **Accounting** — per-worker busy times and the step's bytes enter
+//!    [`BspStats`]; a superstep that delivered nothing with nothing in
+//!    flight is global quiescence.
+//!
+//! Stats, fault decisions and flow edges therefore come from one code path
+//! and are identical in both modes. The mode only picks where the compute
+//! batch runs:
+//!
+//! - [`ExecutionMode::Simulated`]: inline on the calling thread, in worker
+//!   order. Busy times are uncontended, so the *simulated parallel time*
+//!   (makespan) `Σ_steps max_worker(busy)` plus a per-byte communication
+//!   cost measures exactly what parallel scalability (Theorem 7) is about,
+//!   independent of how many cores the host has.
+//! - [`ExecutionMode::Threaded`]: on a work-stealing pool — the caller's
+//!   ([`run_bsp_on`]) or a transient one of `min(workers, cores)` lanes —
+//!   so supersteps run under true concurrency.
 //!
 //! ## Fault tolerance (see `DESIGN.md` §11)
 //!
@@ -37,11 +58,10 @@
 //! that restores a failed worker from its last checkpoint and replays the
 //! exchanges it missed from a per-recipient delivery log. Replay is
 //! idempotent for `DeltaBatch`-style canonical messages, so the recovered
-//! fixpoint equals the fault-free one (Church–Rosser). Both executors make
-//! every fault decision from the same `(worker, step)` / `(from, to, step)`
-//! keys, so [`RecoveryStats`] are identical across modes for a given plan.
-//! An inactive config (the default used by [`run_bsp`]) takes the legacy
-//! zero-overhead path.
+//! fixpoint equals the fault-free one (Church–Rosser). Every fault decision
+//! is keyed by `(worker, step)` / `(from, to, step)`, so [`RecoveryStats`]
+//! are identical across modes for a given plan. An inactive config (the
+//! default used by [`run_bsp`]) skips checkpoints, injector and logs.
 
 pub mod checkpoint;
 pub mod fault;
@@ -49,9 +69,9 @@ pub mod fault;
 pub use checkpoint::CheckpointStore;
 pub use fault::{EdgeFault, Fault, FaultConfig, FaultPlan, RecoveryStats};
 
+use dcer_obs::TrackId;
+use dcer_pool::WorkPool;
 use serde::Serialize;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
 /// Worker index within a run.
@@ -144,10 +164,11 @@ pub trait Worker: Send {
 /// How to execute the workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// Sequential execution with per-worker time accounting (simulated
-    /// cluster).
+    /// Supersteps compute inline on the calling thread, one worker after
+    /// the other, with per-worker busy-time accounting (simulated cluster).
     Simulated,
-    /// One OS thread per worker.
+    /// Supersteps compute as one work-stealing pool batch, one task per
+    /// worker, concurrently on as many lanes as the pool has.
     Threaded,
 }
 
@@ -302,16 +323,12 @@ pub fn run_bsp_with<W: Worker>(
     run_bsp_inner(workers, mode, cost, faults, None)
 }
 
-/// Like [`run_bsp_with`], but the threaded executor runs its workers as
-/// *resident* tasks on the shared [`dcer_pool::WorkPool`] instead of
-/// spawning fresh scoped threads — one worker per pool lane (the caller
-/// included), with temporary overflow threads beyond the pool size. The
-/// simulated executor is inherently sequential and ignores the pool.
-/// Superstep semantics, stats and emitted flow edges are identical to the
-/// scoped-thread path; each worker redirects its spans onto a dedicated
-/// `worker-{k}` track so profiles look the same across dispatch modes.
+/// Like [`run_bsp_with`], but a threaded run computes its supersteps on
+/// the shared [`WorkPool`] instead of a transient pool of its own. A
+/// simulated run computes inline and ignores the pool. Supersteps, stats
+/// and flow edges are the same either way.
 pub fn run_bsp_on<W: Worker>(
-    pool: &dcer_pool::WorkPool,
+    pool: &WorkPool,
     workers: Vec<W>,
     mode: ExecutionMode,
     cost: &CostModel,
@@ -325,18 +342,20 @@ fn run_bsp_inner<W: Worker>(
     mode: ExecutionMode,
     cost: &CostModel,
     faults: &FaultConfig,
-    pool: Option<&dcer_pool::WorkPool>,
+    pool: Option<&WorkPool>,
 ) -> Result<(Vec<W>, BspStats), BspAbort> {
     if workers.is_empty() {
-        // Without this, the simulated loop would still account one empty
-        // superstep while the threaded path spawns nothing — the one stats
-        // divergence between the executors.
+        // No workers, no supersteps: the loop would still account one.
         return Ok((workers, BspStats::new(0)));
     }
-    let ft = if faults.active() { Some(faults) } else { None };
-    let result = match mode {
-        ExecutionMode::Simulated => run_simulated(workers, cost, ft),
-        ExecutionMode::Threaded => run_threaded(workers, cost, ft, pool),
+    let faults = faults.active().then_some(faults);
+    let result = match (mode, pool) {
+        (ExecutionMode::Simulated, _) => run_loop(&WorkPool::new(1), workers, cost, faults),
+        (ExecutionMode::Threaded, Some(pool)) => run_loop(pool, workers, cost, faults),
+        (ExecutionMode::Threaded, None) => {
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            run_loop(&WorkPool::new(workers.len().min(cores)), workers, cost, faults)
+        }
     };
     if let Ok((_, stats)) = &result {
         stats.publish();
@@ -355,10 +374,10 @@ fn step_span_name(first: bool) -> &'static str {
 }
 
 /// Deterministic id for the `bsp.send` flow edge of one batch handoff:
-/// derived from the routing coordinates `(exchange step, from, to)` so the
-/// threaded and simulated executors emit the *identical* edge set for the
-/// same run (pinned by `flow_parity` in `tests/flow_parity.rs`). Stays far
-/// below 2^53, so the id survives JSON number round-trips.
+/// derived from the routing coordinates `(exchange step, from, to)`, so
+/// the edge set is a function of the run, never of scheduling (pinned
+/// across modes by `tests/flow_parity.rs`). Stays far below 2^53, so the
+/// id survives JSON number round-trips.
 fn bsp_flow_id(step: u64, from: WorkerId, to: WorkerId) -> u64 {
     (step << 32) | ((from as u64) << 16) | to as u64
 }
@@ -368,6 +387,108 @@ fn bsp_flow_id(step: u64, from: WorkerId, to: WorkerId) -> u64 {
 /// first superstep. Namespaced above every possible [`bsp_flow_id`].
 fn spawn_flow_id(worker: WorkerId) -> u64 {
     (1u64 << 50) | worker as u64
+}
+
+/// One worker's slot in the superstep loop.
+struct Shard<W: Worker> {
+    worker: W,
+    /// Batches delivered at the last exchange, consumed by the next compute.
+    inbox: Vec<W::Msg>,
+    /// Every delivery since the worker's last checkpoint — what a failed
+    /// worker replays. Kept only when the plan can fail a worker.
+    log: Vec<W::Msg>,
+    /// The worker's `worker-{k}` trace timeline.
+    track: TrackId,
+}
+
+/// What one worker's compute task hands to the exchange.
+struct Computed<M> {
+    /// Compute time plus any sub-timeout stall: the worker's share of the
+    /// superstep in the virtual makespan.
+    busy_secs: f64,
+    /// `(recipient, message)` pairs, self-routes included.
+    routed: Vec<(WorkerId, M)>,
+    /// Fault counters this task moved (crash, stall, recovery, checkpoint).
+    rec: RecoveryStats,
+    /// When the task ended, on the trace clock (`None` while tracing is
+    /// off): the start of the worker's `bsp.barrier_wait` span.
+    end_ns: Option<u64>,
+}
+
+/// The compute part of superstep `step` for worker `k`: the plan's crash
+/// and stall decisions, restore and replay after a failure,
+/// `initial`/`superstep`, and the checkpoint.
+fn compute<W: Worker>(
+    k: WorkerId,
+    shard: &mut Shard<W>,
+    step: u64,
+    faults: Option<(&FaultConfig, &CheckpointStore<W::Msg>)>,
+) -> Computed<W::Msg> {
+    // On a pool the OS thread is a reused `pool-{i}` (or the caller): the
+    // worker's spans go to its own timeline whichever thread runs it.
+    let _track = dcer_obs::redirect_thread_track(shard.track);
+    let span = dcer_obs::span(step_span_name(step == 0)).with_arg("step", step);
+    let t0 = Instant::now();
+    let mut rec = RecoveryStats::default();
+    let mut stall_secs = 0.0f64;
+    let mut failed = false;
+    if let Some((cfg, _)) = faults {
+        failed = cfg.plan.crashed(k, step);
+        if failed {
+            rec.crashes += 1;
+            dcer_obs::instant("bsp.fault.crash");
+        }
+        if let Some(ms) = cfg.plan.stall_millis(k, step) {
+            rec.stalls += 1;
+            dcer_obs::instant("bsp.fault.stall");
+            stall_secs = ms as f64 / 1e3;
+            failed |= stall_secs > cfg.stall_timeout_secs;
+        }
+    }
+    let inbox = std::mem::take(&mut shard.inbox);
+    let w = &mut shard.worker;
+    let routed = match faults {
+        Some((_, store)) if failed => {
+            // The volatile state and the undrained inbox are lost; the log
+            // still holds everything since the last checkpoint, the inbox
+            // included. A stall that failed is recovery, not a slow step.
+            drop(inbox);
+            stall_secs = 0.0;
+            let ckpt = store.latest(k);
+            let mut out = w.restore(ckpt.as_ref().map(|(_, m)| m));
+            let replay = shard.log.clone();
+            rec.replayed_batches += replay.len() as u64;
+            rec.replayed_facts += replay.iter().map(|m| m.unit_count() as u64).sum::<u64>();
+            rec.recoveries += 1;
+            dcer_obs::instant("bsp.recovery.restore");
+            out.extend(w.superstep(replay));
+            out
+        }
+        _ if step == 0 => w.initial(),
+        _ => w.superstep(inbox),
+    };
+    // Checkpoint inside the timed window: its cost is part of the worker's
+    // step in the virtual makespan.
+    if let Some((cfg, store)) = faults {
+        if cfg.checkpoint_interval > 0 && step.is_multiple_of(cfg.checkpoint_interval) {
+            let c0 = dcer_obs::enabled().then(Instant::now);
+            if let Some(snap) = w.snapshot() {
+                rec.checkpoints += 1;
+                rec.checkpoint_facts += snap.unit_count() as u64;
+                rec.checkpoint_bytes += snap.size_bytes() as u64;
+                store.put(k, step, snap);
+                // Replay after a later failure starts from this checkpoint,
+                // which covers every delivery logged so far.
+                shard.log.clear();
+            }
+            if let Some(c0) = c0 {
+                dcer_obs::histogram_record("bsp.checkpoint_ns", c0.elapsed().as_nanos() as u64);
+            }
+        }
+    }
+    let busy_secs = t0.elapsed().as_secs_f64() + stall_secs;
+    drop(span);
+    Computed { busy_secs, routed, rec, end_ns: dcer_obs::enabled().then(dcer_obs::now_ns) }
 }
 
 /// A message held back by the injector: either a scheduled retransmission
@@ -382,314 +503,180 @@ struct PendingSend<M> {
     retry: bool,
 }
 
-/// Injector verdict for one deposit attempt.
-enum SendOutcome {
-    Deliver,
-    DeliverTwice,
-    /// Deliver at the exchange of this later superstep.
-    Delayed(u64),
-    /// Retransmit (attempt count, due superstep).
-    Retry(u32, u64),
-    /// Retransmission budget exhausted — abort the run.
-    Exhausted,
-}
+/// `(from, to, message)` triples of one exchange, in delivery order.
+type Sends<M> = Vec<(WorkerId, WorkerId, M)>;
 
-/// Consult the plan for a deposit on `from -> to` at `step` (`attempts`
-/// prior drops of this message) and update the fault counters. Pure in the
-/// `(plan, edge, step, attempts)` key, so both executors agree.
-fn classify_send(
-    cfg: &FaultConfig,
-    from: WorkerId,
-    to: WorkerId,
-    step: u64,
-    attempts: u32,
-    rec: &mut RecoveryStats,
-) -> SendOutcome {
-    match cfg.plan.edge(from, to, step) {
-        EdgeFault::Deliver => SendOutcome::Deliver,
-        EdgeFault::Duplicate => {
-            rec.duplicated_batches += 1;
-            dcer_obs::instant("bsp.fault.dup");
-            SendOutcome::DeliverTwice
-        }
-        EdgeFault::Delay(d) => {
-            rec.delayed_batches += 1;
-            dcer_obs::instant("bsp.fault.delay");
-            SendOutcome::Delayed(step + d)
-        }
-        EdgeFault::Drop => {
-            rec.dropped_batches += 1;
-            dcer_obs::instant("bsp.fault.drop");
-            if attempts >= cfg.max_retries {
-                SendOutcome::Exhausted
-            } else {
-                // Exponential backoff: the r-th retry waits base << r steps.
-                SendOutcome::Retry(attempts + 1, step + (cfg.retry_backoff_steps << attempts))
-            }
-        }
-    }
-}
-
-fn exhausted_reason(from: WorkerId, to: WorkerId, attempts: u32, step: u64) -> String {
-    format!("delivery {from}->{to} dropped {} times by superstep {step}; retries exhausted", {
-        attempts + 1
-    })
-}
-
-/// Per-run fault-tolerance state of the simulated executor.
-struct SimFt<'a, M: Message> {
+/// The exchange side of the fault layer: the plan's edge faults, the
+/// messages they hold back, and the run's fault counters.
+struct Injector<'a, M> {
     cfg: &'a FaultConfig,
-    store: CheckpointStore<M>,
-    /// Per-recipient delivery log: `(deposit superstep, message)`, appended
-    /// in step order, trimmed at each checkpoint. Only maintained when the
-    /// plan can actually fail a worker (`replayable`) — crashes come from
-    /// the plan alone, so an empty plan never replays.
-    logs: Vec<Vec<(u64, M)>>,
-    replayable: bool,
     pending: Vec<PendingSend<M>>,
     rec: RecoveryStats,
 }
 
-fn run_simulated<W: Worker>(
-    mut workers: Vec<W>,
+impl<M: Message> Injector<'_, M> {
+    /// Pass one exchange through the plan: the held-back messages due at
+    /// `step` first, then this superstep's `sends`, in the order given.
+    /// Returns what is delivered now; errs when a dropped delivery
+    /// exhausts its retransmission budget.
+    fn route(&mut self, sends: Sends<M>, step: u64) -> Result<Sends<M>, String> {
+        let mut out = Vec::with_capacity(sends.len());
+        let (due, later): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.pending).into_iter().partition(|p| p.due <= step);
+        self.pending = later;
+        for p in due {
+            if p.retry {
+                self.rec.retries += 1;
+                self.send(p.from, p.to, p.msg, step, p.attempts, &mut out)?;
+            } else {
+                // A delayed delivery already passed the injector.
+                out.push((p.from, p.to, p.msg));
+            }
+        }
+        for (from, to, msg) in sends {
+            self.send(from, to, msg, step, 0, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// One send attempt on `from -> to` at `step`, after `attempts` prior
+    /// drops of this message: it lands in `out` (twice when duplicated) or
+    /// waits in `pending`. Pure in the `(plan, edge, step, attempts)` key.
+    fn send(
+        &mut self,
+        from: WorkerId,
+        to: WorkerId,
+        msg: M,
+        step: u64,
+        attempts: u32,
+        out: &mut Sends<M>,
+    ) -> Result<(), String> {
+        let (due, attempts, retry) = match self.cfg.plan.edge(from, to, step) {
+            EdgeFault::Deliver => {
+                out.push((from, to, msg));
+                return Ok(());
+            }
+            EdgeFault::Duplicate => {
+                self.rec.duplicated_batches += 1;
+                dcer_obs::instant("bsp.fault.dup");
+                out.push((from, to, msg.clone()));
+                out.push((from, to, msg));
+                return Ok(());
+            }
+            EdgeFault::Delay(d) => {
+                self.rec.delayed_batches += 1;
+                dcer_obs::instant("bsp.fault.delay");
+                (step.saturating_add(d), attempts, false)
+            }
+            EdgeFault::Drop => {
+                self.rec.dropped_batches += 1;
+                dcer_obs::instant("bsp.fault.drop");
+                if attempts >= self.cfg.max_retries {
+                    return Err(format!(
+                        "delivery {from}->{to} dropped {} times by superstep {step}; \
+                         retries exhausted",
+                        attempts + 1
+                    ));
+                }
+                // Exponential backoff: the r-th retry waits base << r steps.
+                (step.saturating_add(self.cfg.retry_backoff_steps << attempts), attempts + 1, true)
+            }
+        };
+        self.pending.push(PendingSend { from, to, msg, attempts, due, retry });
+        Ok(())
+    }
+}
+
+/// The superstep loop: compute on `pool`, exchange and account on the
+/// caller, until a superstep delivers nothing with nothing held back.
+fn run_loop<W: Worker>(
+    pool: &WorkPool,
+    workers: Vec<W>,
     cost: &CostModel,
     faults: Option<&FaultConfig>,
 ) -> Result<(Vec<W>, BspStats), BspAbort> {
     let n = workers.len();
     let wall = Instant::now();
     let mut stats = BspStats::new(n);
-    let mut ft: Option<SimFt<W::Msg>> = faults.map(|cfg| {
-        let replayable = !cfg.plan.is_empty();
-        SimFt {
-            cfg,
-            store: CheckpointStore::new(n, cfg.checkpoint_dir.clone()),
-            logs: if replayable { (0..n).map(|_| Vec::new()).collect() } else { Vec::new() },
-            replayable,
-            pending: Vec::new(),
-            rec: RecoveryStats::default(),
-        }
-    });
-    // Virtual trace tracks: the simulated cluster runs on one OS thread,
-    // but each worker still gets its own timeline in the exported trace.
-    let tracks: Vec<dcer_obs::TrackId> = if dcer_obs::enabled() {
-        (0..n).map(|i| dcer_obs::alloc_track(&format!("worker-{i}"))).collect()
-    } else {
-        vec![dcer_obs::TrackId::UNTRACKED; n]
-    };
-    if dcer_obs::enabled() {
-        // Same causal edges the threaded executor emits at thread spawn:
-        // they link the partition/build work on the calling thread to each
-        // worker's first superstep.
-        for (i, &track) in tracks.iter().enumerate() {
-            dcer_obs::flow_begin("bsp.spawn", spawn_flow_id(i));
-            dcer_obs::flow_end_on("bsp.spawn", spawn_flow_id(i), track);
-        }
-    }
-    let mut inboxes: Vec<Vec<W::Msg>> = (0..n).map(|_| Vec::new()).collect();
-    let mut first = true;
+    let store = faults.map(|cfg| CheckpointStore::new(n, cfg.checkpoint_dir.clone()));
+    let mut injector =
+        faults.map(|cfg| Injector { cfg, pending: Vec::new(), rec: RecoveryStats::default() });
+    // Failures come from the plan alone: an empty plan never replays, so
+    // it keeps no delivery log.
+    let replayable = faults.is_some_and(|cfg| !cfg.plan.is_empty());
+    let mut shards: Vec<Shard<W>> = workers
+        .into_iter()
+        .enumerate()
+        .map(|(k, worker)| {
+            let track = if dcer_obs::enabled() {
+                dcer_obs::alloc_track(&format!("worker-{k}"))
+            } else {
+                TrackId::UNTRACKED
+            };
+            // Causal edge from the calling thread, which partitioned and
+            // built the fleet, to the worker's first superstep.
+            dcer_obs::flow_begin("bsp.spawn", spawn_flow_id(k));
+            dcer_obs::flow_end_on("bsp.spawn", spawn_flow_id(k), track);
+            Shard { worker, inbox: Vec::new(), log: Vec::new(), track }
+        })
+        .collect();
+    let ctx = faults.zip(store.as_ref());
     let mut step = 0u64;
     loop {
-        let mut durations = vec![0.0f64; n];
-        let mut routed: Vec<(WorkerId, WorkerId, W::Msg)> = Vec::new();
-        for (i, w) in workers.iter_mut().enumerate() {
-            let inbox = std::mem::take(&mut inboxes[i]);
-            let span = dcer_obs::span_on(step_span_name(first), tracks[i]).with_arg("step", step);
-            let t0 = Instant::now();
-            let mut stall_secs = 0.0f64;
-            let out = if let Some(run) = ft.as_mut() {
-                let stall = run.cfg.plan.stall_millis(i, step);
-                let crashed = run.cfg.plan.crashed(i, step);
-                let failed =
-                    crashed || stall.is_some_and(|ms| ms as f64 / 1e3 > run.cfg.stall_timeout_secs);
-                if crashed {
-                    run.rec.crashes += 1;
-                    dcer_obs::instant("bsp.fault.crash");
-                }
-                if stall.is_some() {
-                    run.rec.stalls += 1;
-                    dcer_obs::instant("bsp.fault.stall");
-                }
-                if failed {
-                    // The worker's volatile state (and undrained inbox) is
-                    // lost; the log still holds everything since the last
-                    // checkpoint, including what was in the inbox.
-                    drop(inbox);
-                    let ckpt = run.store.latest(i);
-                    let mut out = w.restore(ckpt.as_ref().map(|(_, m)| m));
-                    let replay: Vec<W::Msg> = run.logs[i]
-                        .iter()
-                        .filter(|(s, _)| *s < step)
-                        .map(|(_, m)| m.clone())
-                        .collect();
-                    run.rec.replayed_batches += replay.len() as u64;
-                    run.rec.replayed_facts +=
-                        replay.iter().map(|m| m.unit_count() as u64).sum::<u64>();
-                    run.rec.recoveries += 1;
-                    dcer_obs::instant("bsp.recovery.restore");
-                    out.extend(w.superstep(replay));
-                    out
-                } else {
-                    let out = if first { w.initial() } else { w.superstep(inbox) };
-                    if let Some(ms) = stall {
-                        // Sub-timeout stall: virtual slowdown, no failure.
-                        stall_secs = ms as f64 / 1e3;
-                    }
-                    out
-                }
-            } else if first {
-                w.initial()
-            } else {
-                w.superstep(inbox)
-            };
-            // Checkpoint inside the timed window: its cost is part of the
-            // worker's step in the virtual makespan.
-            if let Some(run) = ft.as_mut() {
-                if run.cfg.checkpoint_interval > 0
-                    && step.is_multiple_of(run.cfg.checkpoint_interval)
-                {
-                    let c0 = dcer_obs::enabled().then(Instant::now);
-                    if let Some(snap) = w.snapshot() {
-                        run.rec.checkpoints += 1;
-                        run.rec.checkpoint_facts += snap.unit_count() as u64;
-                        run.rec.checkpoint_bytes += snap.size_bytes() as u64;
-                        run.store.put(i, step, snap);
-                        // Replay after a later failure starts from this
-                        // checkpoint: older log entries are covered by it.
-                        if run.replayable {
-                            run.logs[i].retain(|(s, _)| *s >= step);
-                        }
-                    }
-                    if let Some(c0) = c0 {
-                        dcer_obs::histogram_record(
-                            "bsp.checkpoint_ns",
-                            c0.elapsed().as_nanos() as u64,
-                        );
-                    }
-                }
-            }
-            durations[i] = t0.elapsed().as_secs_f64() + stall_secs;
-            drop(span);
-            routed.extend(out.into_iter().map(|(to, m)| (i, to, m)));
-        }
-        first = false;
+        // Compute: one task per worker; the batch join is the barrier.
+        let tasks: Vec<_> = shards
+            .iter_mut()
+            .enumerate()
+            .map(|(k, shard)| move || compute(k, shard, step, ctx))
+            .collect();
+        let computed = pool.run(tasks, None);
+        let join_ns = dcer_obs::enabled().then(dcer_obs::now_ns);
+
+        // Exchange, in fixed worker order.
         let exchange = dcer_obs::span("exchange").with_arg("step", step);
-        if dcer_obs::enabled() {
-            // Synthesized per-worker barrier waits: no thread actually
-            // blocks here, but under the simulated cost model every worker
-            // except the straggler would have waited (step max busy − own
-            // busy) at the barrier. Recording that gap as an explicit
-            // `bsp.barrier_wait` span makes the virtual straggler cost
-            // visible to the same critical-path analysis the threaded
-            // executor feeds with real blocking time.
-            let max_busy = durations.iter().cloned().fold(0.0f64, f64::max);
-            let base = dcer_obs::now_ns();
-            for (i, &busy) in durations.iter().enumerate() {
-                let wait_ns = ((max_busy - busy) * 1e9) as u64;
-                if wait_ns > 0 {
+        let mut durations = Vec::with_capacity(n);
+        let mut sends = Vec::new();
+        for (k, c) in computed.into_iter().enumerate() {
+            durations.push(c.busy_secs);
+            if let Some(inj) = injector.as_mut() {
+                inj.rec.add(&c.rec);
+            }
+            if let (Some(end), Some(join)) = (c.end_ns, join_ns) {
+                // Real time from the worker's task end to the join: its
+                // wait on the superstep's straggler.
+                if join > end {
+                    let arg = Some(("step", step));
                     dcer_obs::record_span(
                         "bsp.barrier_wait",
-                        tracks[i],
-                        base,
-                        wait_ns,
-                        Some(("step", step)),
+                        shards[k].track,
+                        end,
+                        join - end,
+                        arg,
                     );
                 }
             }
-        }
-        let mut deliveries: Vec<(WorkerId, WorkerId, W::Msg)> = Vec::new();
-        if let Some(run) = ft.as_mut() {
-            let mut due = Vec::new();
-            let mut later = Vec::new();
-            for p in run.pending.drain(..) {
-                if p.due <= step {
-                    due.push(p);
-                } else {
-                    later.push(p);
-                }
-            }
-            run.pending = later;
-            for p in due {
-                if !p.retry {
-                    // A delayed delivery already passed the injector.
-                    deliveries.push((p.from, p.to, p.msg));
-                    continue;
-                }
-                run.rec.retries += 1;
-                match classify_send(run.cfg, p.from, p.to, step, p.attempts, &mut run.rec) {
-                    SendOutcome::Deliver => deliveries.push((p.from, p.to, p.msg)),
-                    SendOutcome::DeliverTwice => {
-                        deliveries.push((p.from, p.to, p.msg.clone()));
-                        deliveries.push((p.from, p.to, p.msg));
-                    }
-                    SendOutcome::Delayed(due) => run.pending.push(PendingSend {
-                        from: p.from,
-                        to: p.to,
-                        msg: p.msg,
-                        attempts: p.attempts,
-                        due,
-                        retry: false,
-                    }),
-                    SendOutcome::Retry(attempts, due) => run.pending.push(PendingSend {
-                        from: p.from,
-                        to: p.to,
-                        msg: p.msg,
-                        attempts,
-                        due,
-                        retry: true,
-                    }),
-                    SendOutcome::Exhausted => {
-                        stats.recovery = run.rec;
-                        stats.wall_secs = wall.elapsed().as_secs_f64();
-                        return Err(BspAbort {
-                            reason: exhausted_reason(p.from, p.to, p.attempts, step),
-                            stats: Box::new(stats),
-                        });
-                    }
-                }
-            }
-            for (from, to, msg) in routed {
-                if to == from {
+            for (to, msg) in c.routed {
+                if to == k {
                     continue; // self-routes are free and filtered
                 }
                 assert!(to < n, "routed to nonexistent shard {to}");
-                match classify_send(run.cfg, from, to, step, 0, &mut run.rec) {
-                    SendOutcome::Deliver => deliveries.push((from, to, msg)),
-                    SendOutcome::DeliverTwice => {
-                        deliveries.push((from, to, msg.clone()));
-                        deliveries.push((from, to, msg));
-                    }
-                    SendOutcome::Delayed(due) => run.pending.push(PendingSend {
-                        from,
-                        to,
-                        msg,
-                        attempts: 0,
-                        due,
-                        retry: false,
-                    }),
-                    SendOutcome::Retry(attempts, due) => {
-                        run.pending.push(PendingSend { from, to, msg, attempts, due, retry: true })
-                    }
-                    SendOutcome::Exhausted => {
-                        stats.recovery = run.rec;
-                        stats.wall_secs = wall.elapsed().as_secs_f64();
-                        return Err(BspAbort {
-                            reason: exhausted_reason(from, to, 0, step),
-                            stats: Box::new(stats),
-                        });
-                    }
-                }
-            }
-        } else {
-            for (from, to, msg) in routed {
-                if to == from {
-                    continue; // self-routes are free and filtered
-                }
-                assert!(to < n, "routed to nonexistent shard {to}");
-                deliveries.push((from, to, msg));
+                sends.push((k, to, msg));
             }
         }
+        let routed = match injector.as_mut() {
+            Some(inj) => inj.route(sends, step),
+            None => Ok(sends),
+        };
+        let deliveries = match routed {
+            Ok(deliveries) => deliveries,
+            Err(reason) => {
+                stats.recovery = injector.map_or_else(RecoveryStats::default, |inj| inj.rec);
+                stats.wall_secs = wall.elapsed().as_secs_f64();
+                return Err(BspAbort { reason, stats: Box::new(stats) });
+            }
+        };
+        let delivered = deliveries.len();
         let mut step_bytes = 0u64;
-        let mut delivered_now = 0u64;
         for (from, to, msg) in deliveries {
             let b = msg.size_bytes() as u64;
             step_bytes += b;
@@ -699,524 +686,33 @@ fn run_simulated<W: Worker>(
             stats.messages += msg.unit_count() as u64;
             dcer_obs::histogram_record("bsp.batch_bytes", b);
             // One causal edge per delivered batch, sender timeline to
-            // recipient timeline, same id the threaded executor derives.
-            dcer_obs::flow_begin_on("bsp.send", bsp_flow_id(step, from, to), tracks[from]);
-            dcer_obs::flow_end_on("bsp.send", bsp_flow_id(step, from, to), tracks[to]);
-            if let Some(run) = ft.as_mut() {
-                if run.replayable {
-                    run.logs[to].push((step, msg.clone()));
-                }
+            // recipient timeline.
+            let id = bsp_flow_id(step, from, to);
+            dcer_obs::flow_begin_on("bsp.send", id, shards[from].track);
+            dcer_obs::flow_end_on("bsp.send", id, shards[to].track);
+            if replayable {
+                shards[to].log.push(msg.clone());
             }
-            inboxes[to].push(msg);
-            delivered_now += 1;
+            shards[to].inbox.push(msg);
         }
         dcer_obs::histogram_record("bsp.step_bytes", step_bytes);
         drop(exchange);
+
+        // Accounting and quiescence. Held-back messages (retransmissions,
+        // delayed deliveries) keep the run alive: a delayed batch must not
+        // silently vanish from the fixpoint.
         stats.account_step(cost, &durations, step_bytes);
         step += 1;
-        // Quiescence must also wait out in-flight messages (scheduled
-        // retransmissions and delayed deliveries), otherwise a delayed
-        // batch would silently vanish and the fixpoint would be wrong.
-        let in_flight = ft.as_ref().map_or(0, |run| run.pending.len());
-        if delivered_now == 0 && in_flight == 0 {
+        if delivered == 0 && injector.as_ref().is_none_or(|inj| inj.pending.is_empty()) {
             break;
         }
     }
-    stats.deduped_facts = workers.iter().map(|w| w.absorbed_duplicates()).sum();
-    if let Some(run) = ft {
-        stats.recovery = run.rec;
+    stats.deduped_facts = shards.iter().map(|s| s.worker.absorbed_duplicates()).sum();
+    if let Some(inj) = injector {
+        stats.recovery = inj.rec;
     }
     stats.wall_secs = wall.elapsed().as_secs_f64();
-    Ok((workers, stats))
-}
-
-/// Per-thread measurements, merged into [`BspStats`] after the join.
-#[derive(Default)]
-struct ShardLog {
-    compute_secs: Vec<f64>,
-    recv_bytes_per_step: Vec<u64>,
-    recv_bytes: u64,
-    sent_batches: u64,
-    sent_units: u64,
-    absorbed: u64,
-    recovery: RecoveryStats,
-}
-
-/// Fault-tolerance state shared by all worker threads.
-struct ThreadedFt<'a, M: Message> {
-    cfg: &'a FaultConfig,
-    store: CheckpointStore<M>,
-    /// Per-recipient delivery log (same contract as the simulated one);
-    /// each recipient trims its own log at its checkpoints. Maintained
-    /// only when the plan can fail a worker (`replayable`).
-    logs: Vec<Mutex<Vec<(u64, M)>>>,
-    replayable: bool,
-    /// Global count of in-flight messages (retries + delayed) — the
-    /// quiescence leader must not halt while this is nonzero.
-    in_flight: AtomicU64,
-    aborted: AtomicBool,
-    abort_reason: Mutex<Option<String>>,
-}
-
-impl<M: Message> ThreadedFt<'_, M> {
-    fn flag_abort(&self, reason: String) {
-        let mut slot = self.abort_reason.lock().expect("abort slot poisoned");
-        if slot.is_none() {
-            *slot = Some(reason);
-        }
-        self.aborted.store(true, Ordering::Relaxed);
-    }
-}
-
-/// One worker's inbound slot in the threaded executor: batches tagged with
-/// their sender so the drain can close each `bsp.send` flow edge.
-type Mailbox<M> = Mutex<Vec<(WorkerId, M)>>;
-
-/// Deposit one message from `from` into `to`'s mailbox with full
-/// accounting; appends to the recipient's delivery log when fault tolerance
-/// is active. Opens the `bsp.send` causal flow edge — the recipient closes
-/// it when it drains the batch after the barrier.
-#[allow(clippy::too_many_arguments)]
-fn deposit<M: Message>(
-    from: WorkerId,
-    to: WorkerId,
-    msg: M,
-    step: u64,
-    log: &mut ShardLog,
-    mailboxes: &[Mailbox<M>],
-    ft: Option<&ThreadedFt<'_, M>>,
-    delivered: &AtomicU64,
-) {
-    log.sent_batches += 1;
-    log.sent_units += msg.unit_count() as u64;
-    dcer_obs::histogram_record("bsp.batch_bytes", msg.size_bytes() as u64);
-    dcer_obs::flow_begin("bsp.send", bsp_flow_id(step, from, to));
-    delivered.fetch_add(1, Ordering::Relaxed);
-    if let Some(ft) = ft {
-        if ft.replayable {
-            ft.logs[to].lock().expect("delivery log poisoned").push((step, msg.clone()));
-        }
-    }
-    mailboxes[to].lock().expect("mailbox poisoned").push((from, msg));
-}
-
-fn run_threaded<W: Worker>(
-    workers: Vec<W>,
-    cost: &CostModel,
-    faults: Option<&FaultConfig>,
-    pool: Option<&dcer_pool::WorkPool>,
-) -> Result<(Vec<W>, BspStats), BspAbort> {
-    let n = workers.len();
-    let wall = Instant::now();
-
-    // Sharded mailboxes: worker threads deposit directly into the
-    // recipient's slot — no coordinator touches payloads. Entries carry the
-    // sender so the drain can close each batch's `bsp.send` flow edge.
-    let mailboxes: Vec<Mailbox<W::Msg>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let barrier = Barrier::new(n);
-    let delivered = AtomicU64::new(0);
-    let halt = AtomicBool::new(false);
-    let ft_state: Option<ThreadedFt<W::Msg>> = faults.map(|cfg| {
-        let replayable = !cfg.plan.is_empty();
-        ThreadedFt {
-            cfg,
-            store: CheckpointStore::new(n, cfg.checkpoint_dir.clone()),
-            logs: if replayable {
-                (0..n).map(|_| Mutex::new(Vec::new())).collect()
-            } else {
-                Vec::new()
-            },
-            replayable,
-            in_flight: AtomicU64::new(0),
-            aborted: AtomicBool::new(false),
-            abort_reason: Mutex::new(None),
-        }
-    });
-
-    let worker_tasks: Vec<_> = workers
-        .into_iter()
-        .enumerate()
-        .map(|(me, mut w)| {
-            let mailboxes = &mailboxes;
-            let barrier = &barrier;
-            let delivered = &delivered;
-            let halt = &halt;
-            let ft = ft_state.as_ref();
-            // Open the spawn flow edge on the calling thread's track: it
-            // links partitioning/fleet-building to each worker's first
-            // superstep in the span graph.
-            dcer_obs::flow_begin("bsp.spawn", spawn_flow_id(me));
-            move || {
-                // On the pool the OS thread is a reused `pool-{i}` (or the
-                // caller itself); redirect this worker's events onto a
-                // dedicated `worker-{me}` track so the profile renders one
-                // row per logical worker in every dispatch mode. Close the
-                // spawn edge onto that track.
-                let _track =
-                    dcer_obs::redirect_thread_track(dcer_obs::alloc_track(&format!("worker-{me}")));
-                dcer_obs::flow_end("bsp.spawn", spawn_flow_id(me));
-                let mut log = ShardLog::default();
-                let mut inbox: Vec<W::Msg> = Vec::new();
-                // This thread's in-flight messages (it is the sender).
-                let mut pending: Vec<PendingSend<W::Msg>> = Vec::new();
-                let mut first = true;
-                let mut step = 0u64;
-                loop {
-                    let span = dcer_obs::span(step_span_name(first)).with_arg("step", step);
-                    let t0 = Instant::now();
-                    let mut stall_secs = 0.0f64;
-                    let out = if let Some(ft) = ft {
-                        let stall = ft.cfg.plan.stall_millis(me, step);
-                        let crashed = ft.cfg.plan.crashed(me, step);
-                        let failed = crashed
-                            || stall.is_some_and(|ms| ms as f64 / 1e3 > ft.cfg.stall_timeout_secs);
-                        if crashed {
-                            log.recovery.crashes += 1;
-                            dcer_obs::instant("bsp.fault.crash");
-                        }
-                        if stall.is_some() {
-                            log.recovery.stalls += 1;
-                            dcer_obs::instant("bsp.fault.stall");
-                        }
-                        if failed {
-                            inbox.clear(); // lost with the worker
-                            let ckpt = ft.store.latest(me);
-                            let mut out = w.restore(ckpt.as_ref().map(|(_, m)| m));
-                            // Peers may already be depositing for the
-                            // exchange of this very step; the `< step`
-                            // filter keeps those for normal consumption.
-                            let replay: Vec<W::Msg> = {
-                                let guard = ft.logs[me].lock().expect("delivery log poisoned");
-                                guard
-                                    .iter()
-                                    .filter(|(s, _)| *s < step)
-                                    .map(|(_, m)| m.clone())
-                                    .collect()
-                            };
-                            log.recovery.replayed_batches += replay.len() as u64;
-                            log.recovery.replayed_facts +=
-                                replay.iter().map(|m| m.unit_count() as u64).sum::<u64>();
-                            log.recovery.recoveries += 1;
-                            dcer_obs::instant("bsp.recovery.restore");
-                            out.extend(w.superstep(replay));
-                            out
-                        } else {
-                            let out = if first {
-                                w.initial()
-                            } else {
-                                w.superstep(std::mem::take(&mut inbox))
-                            };
-                            if let Some(ms) = stall {
-                                stall_secs = ms as f64 / 1e3;
-                            }
-                            out
-                        }
-                    } else if first {
-                        w.initial()
-                    } else {
-                        w.superstep(std::mem::take(&mut inbox))
-                    };
-                    first = false;
-                    if let Some(ft) = ft {
-                        if ft.cfg.checkpoint_interval > 0
-                            && step.is_multiple_of(ft.cfg.checkpoint_interval)
-                        {
-                            let c0 = dcer_obs::enabled().then(Instant::now);
-                            if let Some(snap) = w.snapshot() {
-                                log.recovery.checkpoints += 1;
-                                log.recovery.checkpoint_facts += snap.unit_count() as u64;
-                                log.recovery.checkpoint_bytes += snap.size_bytes() as u64;
-                                ft.store.put(me, step, snap);
-                                if ft.replayable {
-                                    ft.logs[me]
-                                        .lock()
-                                        .expect("delivery log poisoned")
-                                        .retain(|(s, _)| *s >= step);
-                                }
-                            }
-                            if let Some(c0) = c0 {
-                                dcer_obs::histogram_record(
-                                    "bsp.checkpoint_ns",
-                                    c0.elapsed().as_nanos() as u64,
-                                );
-                            }
-                        }
-                    }
-                    log.compute_secs.push(t0.elapsed().as_secs_f64() + stall_secs);
-                    drop(span);
-                    // The exchange span covers deposit, barrier wait (time
-                    // spent blocked on stragglers), and inbox drain.
-                    let exchange = dcer_obs::span("exchange").with_arg("step", step);
-                    if let Some(ft) = ft {
-                        let mut later = Vec::new();
-                        for p in pending.drain(..) {
-                            if p.due > step {
-                                later.push(p);
-                                continue;
-                            }
-                            ft.in_flight.fetch_sub(1, Ordering::Relaxed);
-                            if !p.retry {
-                                deposit(
-                                    p.from,
-                                    p.to,
-                                    p.msg,
-                                    step,
-                                    &mut log,
-                                    mailboxes,
-                                    Some(ft),
-                                    delivered,
-                                );
-                                continue;
-                            }
-                            log.recovery.retries += 1;
-                            match classify_send(
-                                ft.cfg,
-                                p.from,
-                                p.to,
-                                step,
-                                p.attempts,
-                                &mut log.recovery,
-                            ) {
-                                SendOutcome::Deliver => deposit(
-                                    p.from,
-                                    p.to,
-                                    p.msg,
-                                    step,
-                                    &mut log,
-                                    mailboxes,
-                                    Some(ft),
-                                    delivered,
-                                ),
-                                SendOutcome::DeliverTwice => {
-                                    deposit(
-                                        p.from,
-                                        p.to,
-                                        p.msg.clone(),
-                                        step,
-                                        &mut log,
-                                        mailboxes,
-                                        Some(ft),
-                                        delivered,
-                                    );
-                                    deposit(
-                                        p.from,
-                                        p.to,
-                                        p.msg,
-                                        step,
-                                        &mut log,
-                                        mailboxes,
-                                        Some(ft),
-                                        delivered,
-                                    );
-                                }
-                                SendOutcome::Delayed(due) => {
-                                    ft.in_flight.fetch_add(1, Ordering::Relaxed);
-                                    later.push(PendingSend {
-                                        from: p.from,
-                                        to: p.to,
-                                        msg: p.msg,
-                                        attempts: p.attempts,
-                                        due,
-                                        retry: false,
-                                    });
-                                }
-                                SendOutcome::Retry(attempts, due) => {
-                                    ft.in_flight.fetch_add(1, Ordering::Relaxed);
-                                    later.push(PendingSend {
-                                        from: p.from,
-                                        to: p.to,
-                                        msg: p.msg,
-                                        attempts,
-                                        due,
-                                        retry: true,
-                                    });
-                                }
-                                SendOutcome::Exhausted => {
-                                    ft.flag_abort(exhausted_reason(p.from, p.to, p.attempts, step));
-                                }
-                            }
-                        }
-                        pending = later;
-                        for (to, msg) in out {
-                            if to == me {
-                                continue; // self-routes are free and filtered
-                            }
-                            assert!(to < n, "routed to nonexistent shard {to}");
-                            match classify_send(ft.cfg, me, to, step, 0, &mut log.recovery) {
-                                SendOutcome::Deliver => deposit(
-                                    me,
-                                    to,
-                                    msg,
-                                    step,
-                                    &mut log,
-                                    mailboxes,
-                                    Some(ft),
-                                    delivered,
-                                ),
-                                SendOutcome::DeliverTwice => {
-                                    deposit(
-                                        me,
-                                        to,
-                                        msg.clone(),
-                                        step,
-                                        &mut log,
-                                        mailboxes,
-                                        Some(ft),
-                                        delivered,
-                                    );
-                                    deposit(
-                                        me,
-                                        to,
-                                        msg,
-                                        step,
-                                        &mut log,
-                                        mailboxes,
-                                        Some(ft),
-                                        delivered,
-                                    );
-                                }
-                                SendOutcome::Delayed(due) => {
-                                    ft.in_flight.fetch_add(1, Ordering::Relaxed);
-                                    pending.push(PendingSend {
-                                        from: me,
-                                        to,
-                                        msg,
-                                        attempts: 0,
-                                        due,
-                                        retry: false,
-                                    });
-                                }
-                                SendOutcome::Retry(attempts, due) => {
-                                    ft.in_flight.fetch_add(1, Ordering::Relaxed);
-                                    pending.push(PendingSend {
-                                        from: me,
-                                        to,
-                                        msg,
-                                        attempts,
-                                        due,
-                                        retry: true,
-                                    });
-                                }
-                                SendOutcome::Exhausted => {
-                                    ft.flag_abort(exhausted_reason(me, to, 0, step));
-                                }
-                            }
-                        }
-                    } else {
-                        for (to, msg) in out {
-                            if to == me {
-                                continue; // self-routes are free and filtered
-                            }
-                            assert!(to < n, "routed to nonexistent shard {to}");
-                            deposit(me, to, msg, step, &mut log, mailboxes, None, delivered);
-                        }
-                    }
-                    {
-                        // Real blocking time on stragglers — the span the
-                        // critical-path analyzer charges to barrier wait.
-                        let _bw = dcer_obs::span("bsp.barrier_wait").with_arg("step", step);
-                        barrier.wait(); // all deposits visible
-                    }
-
-                    let received: Vec<(WorkerId, W::Msg)> =
-                        std::mem::take(&mut *mailboxes[me].lock().expect("mailbox poisoned"));
-                    inbox = Vec::with_capacity(received.len());
-                    for (from, msg) in received {
-                        // Close the causal edge the sender opened at deposit.
-                        dcer_obs::flow_end("bsp.send", bsp_flow_id(step, from, me));
-                        inbox.push(msg);
-                    }
-                    let step_recv: u64 = inbox.iter().map(|m| m.size_bytes() as u64).sum();
-                    log.recv_bytes_per_step.push(step_recv);
-                    log.recv_bytes += step_recv;
-                    dcer_obs::histogram_record("bsp.worker_recv_bytes", step_recv);
-                    let is_leader = {
-                        let _bw = dcer_obs::span("bsp.barrier_wait").with_arg("step", step);
-                        barrier.wait().is_leader()
-                    };
-                    if is_leader {
-                        // Coordinator duty: quiescence detection, nothing
-                        // else. A superstep that delivered nothing does NOT
-                        // quiesce while retransmissions or delayed messages
-                        // are still in flight (a worker may be mid-recovery).
-                        let quiesced = delivered.swap(0, Ordering::Relaxed) == 0
-                            && ft.is_none_or(|f| f.in_flight.load(Ordering::Relaxed) == 0);
-                        let abort = ft.is_some_and(|f| f.aborted.load(Ordering::Relaxed));
-                        halt.store(abort || quiesced, Ordering::Relaxed);
-                    }
-                    {
-                        let _bw = dcer_obs::span("bsp.barrier_wait").with_arg("step", step);
-                        barrier.wait(); // halt decision visible
-                    }
-                    drop(exchange);
-                    step += 1;
-                    if halt.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-                log.absorbed = w.absorbed_duplicates();
-                (w, log)
-            }
-        })
-        .collect();
-
-    let results: Vec<(W, ShardLog)> = match pool {
-        // Barrier-coupled workers must all run concurrently, so they go to
-        // the pool as a resident group: one worker per lane (the caller
-        // included), overflow on temporary threads.
-        Some(pool) => pool.run_resident(worker_tasks),
-        None => {
-            let mut slots: Vec<Option<(W, ShardLog)>> = (0..n).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(n);
-                for (me, task) in worker_tasks.into_iter().enumerate() {
-                    let builder = std::thread::Builder::new().name(format!("worker-{me}"));
-                    handles.push(builder.spawn_scoped(scope, task).expect("spawn worker thread"));
-                }
-                for (i, h) in handles.into_iter().enumerate() {
-                    slots[i] = Some(h.join().expect("worker thread panicked"));
-                }
-            });
-            slots.into_iter().map(|r| r.expect("worker result")).collect()
-        }
-    };
-
-    let (mut final_workers, mut logs) = (Vec::with_capacity(n), Vec::with_capacity(n));
-    for (w, log) in results {
-        final_workers.push(w);
-        logs.push(log);
-    }
-
-    let supersteps = logs.iter().map(|l| l.compute_secs.len()).max().unwrap_or(0);
-    let mut stats = BspStats::new(n);
-    for step in 0..supersteps {
-        let durations: Vec<f64> =
-            logs.iter().map(|l| l.compute_secs.get(step).copied().unwrap_or(0.0)).collect();
-        let step_bytes: u64 =
-            logs.iter().map(|l| l.recv_bytes_per_step.get(step).copied().unwrap_or(0)).sum();
-        stats.account_step(cost, &durations, step_bytes);
-    }
-    for (i, log) in logs.iter().enumerate() {
-        stats.batches += log.sent_batches;
-        stats.messages += log.sent_units;
-        stats.bytes += log.recv_bytes;
-        stats.shard_bytes[i] = log.recv_bytes;
-        stats.deduped_facts += log.absorbed;
-        stats.recovery.add(&log.recovery);
-    }
-    stats.wall_secs = wall.elapsed().as_secs_f64();
-    if let Some(ft) = &ft_state {
-        if ft.aborted.load(Ordering::Relaxed) {
-            let reason = ft
-                .abort_reason
-                .lock()
-                .expect("abort slot poisoned")
-                .take()
-                .unwrap_or_else(|| "aborted".into());
-            return Err(BspAbort { reason, stats: Box::new(stats) });
-        }
-    }
-    Ok((final_workers, stats))
+    Ok((shards.into_iter().map(|s| s.worker).collect(), stats))
 }
 
 #[cfg(test)]

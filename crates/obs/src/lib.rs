@@ -18,8 +18,9 @@
 //!   thread's track (allocated lazily, named after the thread); nested
 //!   guards maintain a thread-local span stack whose depth is recorded
 //!   with each span. [`span_on`] targets an explicit [`TrackId`] instead,
-//!   which is how the *simulated* BSP executor gives each virtual worker
-//!   its own timeline while running on one OS thread.
+//!   and [`redirect_thread_track`] lends the calling thread to one: that
+//!   is how the BSP loop gives each logical worker its own timeline
+//!   whichever thread runs its compute.
 //! - **Pluggable sinks.** [`Recorder`] is the sink interface;
 //!   [`NoopRecorder`] drops everything, [`InMemoryCollector`] aggregates
 //!   metrics into a [`MetricsRegistry`] and buffers span events for export
@@ -168,11 +169,11 @@ pub fn flow_end_on(name: &'static str, id: u64, track: TrackId) {
 /// `name` ran on `track` from `start_ns` for `dur_ns` (both in the
 /// [`recorder::now_ns`] epoch), at depth 0 with an optional argument.
 ///
-/// This is for *synthesized* intervals the caller computes rather than
-/// measures in place — e.g. the simulated BSP executor's per-worker
-/// `bsp.barrier_wait` spans, whose duration is the step's straggler gap
-/// (max busy − own busy) even though no thread actually blocked. No-op
-/// while tracing is off or for [`TrackId::UNTRACKED`].
+/// This is for intervals measured on one thread and recorded for another
+/// track — e.g. the BSP loop's per-worker `bsp.barrier_wait` spans, which
+/// run from a worker's task end to the superstep's join, as seen by the
+/// thread that joined. No-op while tracing is off or for
+/// [`TrackId::UNTRACKED`].
 #[inline]
 pub fn record_span(
     name: &'static str,

@@ -2,23 +2,20 @@
 //!
 //! Every parallel region of the dcer stack — the HyPart distribution scan,
 //! merge, fragment and host-table builds, `IndexSet::build_all`, the fleet
-//! build and the threaded BSP superstep loop — used to spawn fresh
+//! build and the BSP superstep's compute — used to spawn fresh
 //! [`std::thread::scope`] threads over even-by-count splits. This crate
 //! replaces all of them with a single reusable [`WorkPool`] created once
 //! per session/pipeline run:
 //!
-//! - **Batch mode** ([`WorkPool::run`]): a vector of independent tasks is
+//! - **Batches** ([`WorkPool::run`]): a vector of independent tasks is
 //!   distributed over per-lane deques by a caller-supplied cost model
 //!   (contiguous, weight-balanced split). The caller participates as lane
 //!   0; idle workers steal half of the richest lane's queue from the back.
 //!   Results land in index-ordered slots, so the output is a pure function
 //!   of the task list — bit-identical at every pool size regardless of
-//!   which thread executed what (determinism by ordered merge).
-//! - **Resident mode** ([`WorkPool::run_resident`]): long-running tasks
-//!   that must all execute *concurrently* (the threaded BSP workers, which
-//!   block on barriers). Each task occupies one pool worker for its whole
-//!   lifetime; the caller runs task 0, and tasks beyond the pool size get
-//!   temporary scoped threads so progress never depends on pool capacity.
+//!   which thread executed what (determinism by ordered merge). Tasks never
+//!   wait on each other, so a batch completes at any pool size; a BSP
+//!   superstep is one batch, and its join is the barrier.
 //! - **Parking**: workers with no claimable work sleep on a condvar. While
 //!   a batch is still in flight the wait is recorded as a `pool.park` span
 //!   (attributed to the `scheduler` phase of the makespan decomposition);
@@ -44,17 +41,14 @@ use std::thread::JoinHandle;
 pub struct WorkPool {
     shared: Arc<Shared>,
     size: usize,
-    /// Serializes resident groups: a second concurrent
-    /// [`WorkPool::run_resident`] waits for the first instead of competing
-    /// for workers its barrier-coupled tasks need.
-    resident_serial: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
 }
 
 /// Cumulative pool counters (monotonic over the pool's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Tasks executed (batch and resident, any lane).
+    /// Tasks executed by multi-lane batches, on any lane. Batches the
+    /// caller runs inline (one lane or one task) are not counted.
     pub tasks: u64,
     /// Steal operations (one per half-queue transfer, not per task).
     pub steals: u64,
@@ -75,13 +69,8 @@ struct PoolState {
     /// Active batches, oldest first. Erased to `'static`: see the safety
     /// argument on [`WorkPool::run`].
     batches: Vec<Arc<dyn BatchRun>>,
-    /// Pending resident jobs; each is claimed by exactly one worker and
-    /// runs to completion on it.
-    resident: VecDeque<ResidentJob>,
     shutdown: bool,
 }
-
-struct ResidentJob(Box<dyn FnOnce() + Send>);
 
 /// Type-erased view of one in-flight batch, shared with the workers.
 trait BatchRun: Send + Sync {
@@ -233,7 +222,7 @@ impl WorkPool {
                     .expect("spawn pool worker")
             })
             .collect();
-        WorkPool { shared, size, resident_serial: Mutex::new(()), handles }
+        WorkPool { shared, size, handles }
     }
 
     /// Number of lanes (including the caller's).
@@ -328,112 +317,19 @@ impl WorkPool {
         }
         out.into_iter().map(|r| r.unwrap()).collect()
     }
-
-    /// Run `tasks` **concurrently**, one lane each, returning results in
-    /// task order — the dispatch mode for threaded BSP workers, which
-    /// block on barriers and therefore must all make progress at once.
-    ///
-    /// Task 0 runs on the caller; tasks `1..=size-1` occupy pool workers
-    /// for their whole lifetime; any excess gets a temporary scoped thread
-    /// (`pool-extra-{i}`), so correctness never depends on pool capacity.
-    /// Concurrent resident groups are serialized against each other.
-    pub fn run_resident<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let _serial = self.resident_serial.lock().unwrap();
-        let results: Vec<Mutex<Option<std::thread::Result<T>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let claimed = (n - 1).min(self.size - 1);
-        let remaining = AtomicUsize::new(claimed);
-        let done = Mutex::new(claimed == 0);
-        let done_cv = Condvar::new();
-
-        std::thread::scope(|s| {
-            let mut it = tasks.into_iter();
-            let first = it.next().expect("n >= 1");
-            let (results, remaining, done, done_cv) = (&results, &remaining, &done, &done_cv);
-            {
-                let mut st = self.shared.state.lock().unwrap();
-                for (i, f) in it.by_ref().take(claimed).enumerate() {
-                    let idx = i + 1;
-                    let job = move || {
-                        let out = catch_unwind(AssertUnwindSafe(f));
-                        *results[idx].lock().unwrap() = Some(out);
-                        if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            *done.lock().unwrap() = true;
-                            done_cv.notify_all();
-                        }
-                    };
-                    // SAFETY: same argument as in `run` — the scope below
-                    // does not exit before `remaining` hits zero, so the
-                    // erased closure and everything it borrows outlive its
-                    // execution; the box is consumed exactly once.
-                    let boxed: Box<dyn FnOnce() + Send + '_> = Box::new(job);
-                    let boxed: Box<dyn FnOnce() + Send> = unsafe {
-                        std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(
-                            boxed,
-                        )
-                    };
-                    st.resident.push_back(ResidentJob(boxed));
-                }
-            }
-            self.shared.work_cv.notify_all();
-            for (i, f) in it.enumerate() {
-                let idx = claimed + 1 + i;
-                std::thread::Builder::new()
-                    .name(format!("pool-extra-{idx}"))
-                    .spawn_scoped(s, move || {
-                        let out = catch_unwind(AssertUnwindSafe(f));
-                        *results[idx].lock().unwrap() = Some(out);
-                        dcer_obs::counter_add("pool.task", 1);
-                    })
-                    .expect("spawn resident overflow thread");
-            }
-            self.shared.tasks.fetch_add(1, Ordering::Relaxed);
-            dcer_obs::counter_add("pool.task", 1);
-            let out = catch_unwind(AssertUnwindSafe(first));
-            *results[0].lock().unwrap() = Some(out);
-            let mut d = done.lock().unwrap();
-            while !*d {
-                d = done_cv.wait(d).unwrap();
-            }
-        });
-
-        let mut out: Vec<std::thread::Result<T>> =
-            results.iter().map(|s| s.lock().unwrap().take().expect("resident task ran")).collect();
-        if let Some(pos) = out.iter().position(|r| r.is_err()) {
-            let Err(payload) = out.swap_remove(pos) else { unreachable!() };
-            drop(out);
-            resume_unwind(payload);
-        }
-        out.into_iter().map(|r| r.unwrap()).collect()
-    }
 }
 
 fn worker_loop(shared: Arc<Shared>, worker: usize) {
     let lane = worker + 1;
     loop {
-        enum Work {
-            Resident(ResidentJob),
-            Batch(Arc<dyn BatchRun>),
-        }
-        let work = {
+        let batch = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(job) = st.resident.pop_front() {
-                    break Work::Resident(job);
-                }
                 if let Some(b) = st.batches.iter().find(|b| b.has_work()) {
-                    break Work::Batch(Arc::clone(b));
+                    break Arc::clone(b);
                 }
                 shared.parks.fetch_add(1, Ordering::Relaxed);
                 dcer_obs::counter_add("pool.park", 1);
@@ -449,14 +345,7 @@ fn worker_loop(shared: Arc<Shared>, worker: usize) {
                 }
             }
         };
-        match work {
-            Work::Resident(job) => {
-                shared.tasks.fetch_add(1, Ordering::Relaxed);
-                dcer_obs::counter_add("pool.task", 1);
-                (job.0)();
-            }
-            Work::Batch(batch) => while batch.run_one(lane) {},
-        }
+        while batch.run_one(lane) {}
     }
 }
 
@@ -549,26 +438,6 @@ mod tests {
         pool.run(tasks.into_iter().map(|f| move || f()).collect(), None);
         assert_eq!(ran.load(Ordering::Relaxed), 32);
         assert!(pool.stats().steals > 0, "expected steals, got {:?}", pool.stats());
-    }
-
-    #[test]
-    fn resident_tasks_run_concurrently_even_beyond_pool_size() {
-        use std::sync::Barrier;
-        // 8 barrier-coupled tasks on a 2-lane pool: 1 caller + 1 worker +
-        // 6 overflow threads must all rendezvous.
-        let pool = WorkPool::new(2);
-        let barrier = Barrier::new(8);
-        let tasks: Vec<_> = (0..8)
-            .map(|i| {
-                let barrier = &barrier;
-                move || {
-                    barrier.wait();
-                    i * 7
-                }
-            })
-            .collect();
-        let out = pool.run_resident(tasks);
-        assert_eq!(out, (0..8).map(|i| i * 7).collect::<Vec<_>>());
     }
 
     #[test]

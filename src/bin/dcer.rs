@@ -19,6 +19,7 @@
 
 use dcer::prelude::*;
 use std::collections::HashMap;
+use std::io::{BufRead, Read};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -308,24 +309,59 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
         data.total_live()
     );
 
-    let stdin = std::io::stdin();
-    let mut line = String::new();
+    let mut stdin = std::io::stdin().lock();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match std::io::BufRead::read_line(&mut stdin.lock(), &mut line) {
-            Ok(0) => return Ok(()), // EOF
-            Ok(_) => {}
+        let (response, shutdown) = match read_request(&mut stdin, &mut line) {
+            Ok(None) => return Ok(()), // EOF
+            Ok(Some(false)) => (
+                request_error(format!("request line longer than {MAX_REQUEST_BYTES} bytes")),
+                false,
+            ),
+            Ok(Some(true)) => match std::str::from_utf8(&line).map(str::trim) {
+                Ok("") => continue,
+                Ok(text) => serve_request(&tenants, &tenant_name, text),
+                Err(e) => (request_error(format!("request is not UTF-8: {e}")), false),
+            },
             Err(e) => return Err(e.to_string()),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = serve_request(&tenants, &tenant_name, line.trim());
+        };
         println!("{response}");
         if shutdown {
             return Ok(());
         }
     }
+}
+
+/// The longest NDJSON request line `dcer serve` accepts, in bytes. A longer
+/// line gets a per-line error and is skipped without being buffered.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Read one request line into `line`: `None` at EOF, `Some(false)` when the
+/// line exceeded [`MAX_REQUEST_BYTES`] (its remainder is then skipped up to
+/// and including the newline), `Some(true)` otherwise.
+fn read_request(input: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    line.clear();
+    // One byte more than the limit holds the longest valid line's newline.
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    if input.by_ref().take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    if line.ends_with(b"\n") || (line.len() as u64) < cap {
+        return Ok(Some(true));
+    }
+    loop {
+        let buf = input.fill_buf()?;
+        if buf.is_empty() {
+            break;
+        }
+        if let Some(i) = buf.iter().position(|&b| b == b'\n') {
+            input.consume(i + 1);
+            break;
+        }
+        let n = buf.len();
+        input.consume(n);
+    }
+    Ok(Some(false))
 }
 
 /// Handle one serve request line; returns `(response json, shutdown?)`.
@@ -336,8 +372,13 @@ fn serve_request(
 ) -> (serde_json::Value, bool) {
     match serve_request_inner(tenants, default_tenant, line) {
         Ok((v, shutdown)) => (v, shutdown),
-        Err(e) => (json_obj(&[("ok", false.into()), ("error", e.into())]), false),
+        Err(e) => (request_error(e), false),
     }
+}
+
+/// The per-line error reply; the loop keeps serving after it.
+fn request_error(message: String) -> serde_json::Value {
+    json_obj(&[("ok", false.into()), ("error", message.into())])
 }
 
 type Json = serde_json::Value;
@@ -426,9 +467,7 @@ fn serve_request_inner(
                         ("external", s.external.into()),
                         (
                             "support",
-                            Json::Array(
-                                s.support.iter().map(|&t| tid_json(catalog, t)).collect(),
-                            ),
+                            Json::Array(s.support.iter().map(|&t| tid_json(catalog, t)).collect()),
                         ),
                         (
                             "antecedents",
@@ -488,8 +527,7 @@ fn serve_request_inner(
                 }
             }
             let report = tenant.resolver.admit(batch)?;
-            let tids =
-                |ts: &[Tid]| Json::Array(ts.iter().map(|&t| tid_json(catalog, t)).collect());
+            let tids = |ts: &[Tid]| Json::Array(ts.iter().map(|&t| tid_json(catalog, t)).collect());
             Ok((
                 json_obj(&[
                     ("ok", true.into()),

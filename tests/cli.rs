@@ -178,10 +178,10 @@ fn helpful_errors() {
 fn bad_invocations_print_usage_and_exit_nonzero() {
     let f = Fixture::new("badargs");
     let cases: Vec<Vec<String>> = vec![
-        vec![],                                     // no subcommand
-        vec!["frobnicate".into()],                  // unknown subcommand
-        vec!["match".into(), "stray".into()],       // positional arg
-        vec!["match".into(), "--schema".into()],    // flag without value
+        vec![],                                  // no subcommand
+        vec!["frobnicate".into()],               // unknown subcommand
+        vec!["match".into(), "stray".into()],    // positional arg
+        vec!["match".into(), "--schema".into()], // flag without value
         vec![
             // --workers must be numeric and nonzero
             "match".into(),
@@ -212,6 +212,68 @@ fn bad_invocations_print_usage_and_exit_nonzero() {
     }
 }
 
+/// Hostile NDJSON request lines: nesting far past any stack, a line past
+/// `dcer serve`'s length limit, and bytes that are not UTF-8. Each gets a
+/// per-line error reply, and the loop keeps serving the request after it.
+#[test]
+fn hostile_serve_lines_get_per_line_errors() {
+    use std::io::Write;
+
+    let f = Fixture::new("hostile");
+    let hostile: [(&str, Vec<u8>); 3] = [
+        ("nesting deeper", "[".repeat(50_000).into_bytes()),
+        (
+            "longer than",
+            format!(r#"{{"op":"stats","pad":"{}"}}"#, "x".repeat(1 << 20)).into_bytes(),
+        ),
+        ("not UTF-8", vec![b'"', 0xff, 0xfe, b'"']),
+    ];
+    const LOOKUP: &str = r#"{"op":"lookup","rel":"Person","row":0}"#;
+    let mut child = spawn_serve(&f);
+    let mut stdin = child.stdin.take().unwrap();
+    for (_, line) in &hostile {
+        stdin.write_all(line).unwrap();
+        writeln!(stdin, "\n{LOOKUP}").unwrap();
+    }
+    writeln!(stdin, r#"{{"op":"shutdown"}}"#).unwrap();
+    drop(stdin);
+
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "serve died: {:?}\n{stderr}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2 * hostile.len() + 1, "one response per request:\n{stdout}");
+    for (i, (needle, _)) in hostile.iter().enumerate() {
+        let (error, next) = (lines[2 * i], lines[2 * i + 1]);
+        assert!(error.contains(r#""ok":false"#) && error.contains(needle), "{needle}: {error}");
+        assert!(next.contains(r#""ok":true"#), "after {needle}: {next}");
+    }
+}
+
+/// `dcer serve` over the fixture, with piped stdio.
+fn spawn_serve(f: &Fixture) -> std::process::Child {
+    bin()
+        .args([
+            "serve",
+            "--schema",
+            &f.path("schema.txt"),
+            "--data",
+            &format!("Person={}", f.path("person.csv")),
+            "--data",
+            &format!("Account={}", f.path("account.csv")),
+            "--rules",
+            &f.path("rules.mrl"),
+            "--workers",
+            "2",
+        ])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap()
+}
+
 /// Historical panic: a schema line with `)` before `(` sliced with
 /// `begin > end`. Must now be a plain error.
 #[test]
@@ -239,25 +301,7 @@ fn serve_answers_ndjson_requests_over_stdin() {
     use std::io::Write;
 
     let f = Fixture::new("serve");
-    let mut child = bin()
-        .args([
-            "serve",
-            "--schema",
-            &f.path("schema.txt"),
-            "--data",
-            &format!("Person={}", f.path("person.csv")),
-            "--data",
-            &format!("Account={}", f.path("account.csv")),
-            "--rules",
-            &f.path("rules.mrl"),
-            "--workers",
-            "2",
-        ])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
+    let mut child = spawn_serve(&f);
 
     let requests = [
         r#"{"op":"lookup","rel":"Person","row":0}"#,
@@ -288,9 +332,17 @@ fn serve_answers_ndjson_requests_over_stdin() {
     assert!(lines[1].contains(r#""same_entity":true"#), "{}", lines[1]);
     assert!(lines[1].contains(r#""support""#), "{}", lines[1]);
     // admit bumps the epoch and reports the delta.
-    assert!(lines[2].contains(r#""epoch":1"#) && lines[2].contains(r#""inserted""#), "{}", lines[2]);
+    assert!(
+        lines[2].contains(r#""epoch":1"#) && lines[2].contains(r#""inserted""#),
+        "{}",
+        lines[2]
+    );
     // the inserted p5 joins the Ada cluster in the new snapshot.
-    assert!(lines[3].contains(r#""epoch":1"#) && lines[3].contains(r#""cluster":"#), "{}", lines[3]);
+    assert!(
+        lines[3].contains(r#""epoch":1"#) && lines[3].contains(r#""cluster":"#),
+        "{}",
+        lines[3]
+    );
     assert!(lines[3].matches(r#""rel":"Person""#).count() >= 4, "{}", lines[3]);
     // bad relation and bad JSON are per-request errors, not crashes.
     assert!(lines[4].contains(r#""ok":false"#), "{}", lines[4]);

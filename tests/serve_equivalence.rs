@@ -241,13 +241,26 @@ proptest! {
                         }
                         last_epoch = snap.epoch();
                         check_snapshot(&snap, &expected)?;
-                        // The convenience paths must agree with the snapshot
-                        // they internally load.
-                        if let Some(t) = snap.clusters().first().and_then(|c| c.first()) {
-                            if resolver.cluster_of(*t).is_none()
-                                && resolver.snapshot().cluster_of(*t).is_none()
-                            {
-                                return Err(format!("{t} lost its cluster"));
+                        // The convenience lookup loads its own snapshot, so
+                        // it must answer as the expected closure of *some*
+                        // epoch between this reader's snapshot and one
+                        // loaded right after the call. (A later CDC delete
+                        // may legitimately turn the tuple into a singleton.)
+                        if let Some(&t) = snap.clusters().first().and_then(|c| c.first()) {
+                            let got = resolver.cluster_of(t);
+                            let after = resolver.snapshot().epoch();
+                            let expected_at = |e: u64| {
+                                expected[e as usize]
+                                    .0
+                                    .iter()
+                                    .position(|c| c.contains(&t))
+                                    .map(|i| i as u32)
+                            };
+                            if !(snap.epoch()..=after).any(|e| expected_at(e) == got) {
+                                return Err(format!(
+                                    "cluster_of({t}) = {got:?} matches no epoch in {}..={after}",
+                                    snap.epoch()
+                                ));
                             }
                         }
                         reads += 1;
